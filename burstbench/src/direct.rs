@@ -8,8 +8,6 @@ use std::time::{Duration, Instant};
 
 use ics_diversity::{DiversityEngine, ShardReport, ShardedEngine};
 use netmodel::assignment::Assignment;
-use netmodel::delta::NetworkDelta;
-use netmodel::journal::SnapshotRecord;
 use netmodel::network::Network;
 use netmodel::topology::GeneratedNetwork;
 use netmodel::HostId;
@@ -29,12 +27,15 @@ const ABSORB_SETUPS: usize = 3;
 const SHARDED_SETUPS: usize = 5;
 /// Reads per timed batch (one batch after every timed burst).
 pub const READS_PER_BATCH: usize = 2_000;
-/// Batches in each journal tail that `recover_s` replays.
+/// Bursts that close every stream, absorbed after the timed loop with a
+/// journal attached to the engine: the journal `recover_s` replays holds a
+/// snapshot of the state they meet and their batch records.
 const JOURNAL_TAIL: usize = 8;
-/// Timed bursts between journal-tail recoveries: 6 recoveries per run of
-/// absorb-50k (each takes most of a second), 18 of sharded-10k.
-const ABSORB_RECOVER_EVERY: usize = 32;
-const SHARDED_RECOVER_EVERY: usize = 8;
+/// Recoveries of that journal per run; `recover_s` is their median. The
+/// first warms the allocator and page cache and is checked but not timed.
+/// One takes about 0.6 s on absorb-50k and 0.12 s on sharded-10k.
+const ABSORB_RECOVERIES: usize = 5;
+const SHARDED_RECOVERIES: usize = 12;
 /// Monte-Carlo runs of each entry/target pair's MTTC estimate.
 const MTTC_RUNS_PER_PAIR: usize = 8;
 
@@ -149,108 +150,6 @@ impl Timed {
     }
 }
 
-/// Periodic journal recoveries of a direct-engine run. Every `period` timed
-/// bursts the benchmark writes a journal holding a snapshot of the state
-/// [`JOURNAL_TAIL`] bursts earlier plus those bursts' batch records — what
-/// a journal attached to the engine holds [`JOURNAL_TAIL`] batches after a
-/// compaction — recovers it and checks the recovery against the live
-/// state. Spreading the recoveries over the run samples the same stretch
-/// of time as the absorbs; the first one warms the allocator and page
-/// cache and is checked but not timed.
-struct JournalTail {
-    period: usize,
-    path: PathBuf,
-    snapshot: Option<SnapshotRecord>,
-    batches: Vec<(Vec<NetworkDelta>, u64, Assignment)>,
-    recoveries: usize,
-    walls: Vec<f64>,
-    batch_bytes: u64,
-    deltas: usize,
-}
-
-impl JournalTail {
-    fn new(period: usize, path: PathBuf) -> JournalTail {
-        JournalTail {
-            period,
-            path,
-            snapshot: None,
-            batches: Vec::new(),
-            recoveries: 0,
-            walls: Vec::new(),
-            batch_bytes: 0,
-            deltas: 0,
-        }
-    }
-
-    /// Before timed burst `t`: start a tail when one must end `t +`
-    /// [`JOURNAL_TAIL`] bursts on.
-    fn before(&mut self, t: usize, network: &Network, assignment: Option<&Assignment>) {
-        if (t + JOURNAL_TAIL).is_multiple_of(self.period) {
-            self.snapshot = Some(SnapshotRecord {
-                revision: network.revision(),
-                network: network.clone(),
-                assignment: assignment.cloned(),
-            });
-            self.batches.clear();
-        }
-    }
-
-    /// After timed burst `t`: record its batch, and at the end of a period
-    /// write the journal and recover it.
-    fn after(
-        &mut self,
-        out: &mut Outcome,
-        g: &GeneratedNetwork,
-        t: usize,
-        burst: &[NetworkDelta],
-        network: &Network,
-        assignment: Option<&Assignment>,
-    ) -> Result<()> {
-        if self.snapshot.is_none() {
-            return Ok(());
-        }
-        let assignment = assignment.ok_or("absorb left no assignment")?;
-        self.batches
-            .push((burst.to_vec(), network.revision(), assignment.clone()));
-        if !(t + 1).is_multiple_of(self.period) {
-            return Ok(());
-        }
-        let snapshot = self.snapshot.take().expect("checked above");
-        let mut journal = checks::create_journal(&self.path, &g.catalog, &g.similarity, snapshot)?;
-        let head = std::fs::metadata(&self.path)?.len();
-        for (burst, revision, assignment) in &self.batches {
-            journal.append_batch(burst, *revision, Some(assignment))?;
-            self.deltas += burst.len();
-        }
-        self.batch_bytes += std::fs::metadata(&self.path)?.len() - head;
-        drop(journal);
-        let (seconds, report) =
-            checks::timed_recover(&mut out.checks, &self.path, network, assignment);
-        if self.recoveries > 0 {
-            self.walls.push(seconds);
-        }
-        self.recoveries += 1;
-        out.attempted += 1;
-        if let Some(report) = report {
-            out.metrics
-                .insert("journal.replayed_batches", report.batches_replayed as f64);
-        }
-        Ok(())
-    }
-
-    /// `recover_s` and `journal_bytes_per_delta`.
-    fn finish(&self, out: &mut Outcome) {
-        out.checks.require(!self.walls.is_empty(), || {
-            "the run was too short for a timed recovery".into()
-        });
-        out.metrics.insert("recover_s", median(&self.walls));
-        out.metrics.insert(
-            "journal_bytes_per_delta",
-            self.batch_bytes as f64 / self.deltas.max(1) as f64,
-        );
-    }
-}
-
 pub fn mttc_probe(g: &GeneratedNetwork, quick: bool) -> MttcProbe {
     MttcProbe::new(
         &inputs::mttc_pairs(g),
@@ -263,28 +162,26 @@ struct DirectRun {
     out: Outcome,
     layers: Layers,
     timed: Timed,
-    journal_tail: JournalTail,
     mirror: Option<Mirror>,
     setup_s: Vec<f64>,
-    /// Held so the run's scratch journals are removed when it ends.
-    _work: WorkDir,
+    /// Whether [`DirectRun::end_timing`] has run.
+    timing_ended: bool,
+    /// Holds the run's scratch journals; removed when the run ends.
+    work: WorkDir,
 }
 
 impl DirectRun {
-    /// Set-up is done and timed: start the traced run's mirror from the
-    /// solved engine's network and assignment. Journal tails are recovered
-    /// every `recover_every` timed bursts (every [`JOURNAL_TAIL`] in quick
-    /// mode).
+    /// Set-up is done and timed. With `mirror` (traced single-engine runs)
+    /// the mirror starts from the solved engine's network and assignment.
     fn new(
-        p: &Params,
-        recover_every: usize,
+        mirror: bool,
         work: WorkDir,
         setup_s: Vec<f64>,
         g: &GeneratedNetwork,
         network: &Network,
         assignment: Option<&Assignment>,
     ) -> Result<DirectRun> {
-        let mirror = match p.trace {
+        let mirror = match mirror {
             true => Some(Mirror::new(
                 network,
                 &g.catalog,
@@ -298,18 +195,20 @@ impl DirectRun {
             out: Outcome::default(),
             layers: Layers::default(),
             timed: Timed::default(),
-            journal_tail: JournalTail::new(
-                if p.quick { JOURNAL_TAIL } else { recover_every },
-                work.file("tail.journal"),
-            ),
             mirror,
             setup_s,
-            _work: work,
+            timing_ended: false,
+            work,
         })
     }
 
-    /// Ends the timed loop: peak RSS is read before any check allocates.
+    /// Ends the timed loop: peak RSS is read before the journal tail runs
+    /// and before any check allocates.
     fn end_timing(&mut self) {
+        if self.timing_ended {
+            return;
+        }
+        self.timing_ended = true;
         self.out
             .metrics
             .insert("peak_rss_mb", checks::peak_rss_mib());
@@ -317,6 +216,45 @@ impl DirectRun {
         if let Some(mirror) = self.mirror.take() {
             self.layers.extend_mirror(mirror.samples);
         }
+    }
+
+    /// Where the engine's journal goes when the journal tail starts.
+    fn tail_journal(&self) -> PathBuf {
+        self.work.file("tail.journal")
+    }
+
+    /// `recover_s` and `journal_bytes_per_delta` from the journal the
+    /// engine wrote over the journal tail: `head` is its length before the
+    /// first tail batch, `deltas` the tail's deltas. Each recovery is
+    /// checked against the live state.
+    fn recover_tail(
+        &mut self,
+        head: u64,
+        deltas: usize,
+        recoveries: usize,
+        network: &Network,
+        assignment: &Assignment,
+    ) -> Result<()> {
+        let path = self.tail_journal();
+        let bytes = std::fs::metadata(&path)?.len() - head;
+        self.out
+            .metrics
+            .insert("journal_bytes_per_delta", bytes as f64 / deltas as f64);
+        let mut walls = Vec::new();
+        for r in 0..recoveries {
+            let (seconds, report) =
+                checks::timed_recover(&mut self.out.checks, &path, network, assignment);
+            if r > 0 {
+                walls.push(seconds);
+            }
+            self.out.attempted += 1;
+            if let Some(report) = report {
+                self.layers
+                    .add("journal.replayed_batches", report.batches_replayed as f64);
+            }
+        }
+        self.out.metrics.insert("recover_s", median(&walls));
+        Ok(())
     }
 
     /// The closing checks on the final state and the MTTC.
@@ -338,7 +276,6 @@ impl DirectRun {
         let mttc = final_state.check(&mut self.out.checks, &mttc_probe(g, quick));
         self.out.metrics.insert("objective", objective);
         self.out.metrics.insert("mttc_ticks", mttc);
-        self.journal_tail.finish(&mut self.out);
         self.layers.finish(&mut self.out);
         Ok(self.out)
     }
@@ -358,7 +295,8 @@ impl DirectRun {
 /// absorbing 16-delta `random_delta` bursts through `apply_batch`.
 pub fn absorb(p: &Params) -> Result<Outcome> {
     let hosts = if p.quick { 2_000 } else { ABSORB_HOSTS };
-    let total = WARMUP + p.rounds(ABSORB_BURSTS_PER_S, 24);
+    let tail_start = WARMUP + p.rounds(ABSORB_BURSTS_PER_S, 24);
+    let total = tail_start + JOURNAL_TAIL;
     let g = inputs::random_network(hosts, stream_seed(p.seed, 1));
     let bursts = inputs::random_bursts(&g, total, ABSORB_BURST, stream_seed(p.seed, 2));
     let targets = inputs::read_targets(hosts, READS_PER_BATCH, stream_seed(p.seed, 3));
@@ -376,10 +314,10 @@ pub fn absorb(p: &Params) -> Result<Outcome> {
         setup_s.push(start.elapsed().as_secs_f64());
         solved = Some((engine, cold));
     }
+    eprintln!("set-ups, s: {setup_s:.3?}");
     let (mut engine, cold) = solved.ok_or("no set-up ran")?;
     let mut run = DirectRun::new(
-        p,
-        ABSORB_RECOVER_EVERY,
+        p.trace,
         work,
         setup_s,
         &g,
@@ -392,11 +330,15 @@ pub fn absorb(p: &Params) -> Result<Outcome> {
         .add("mrf.cold_solve_s", cold.solve_wall.as_secs_f64());
 
     let mut objective = cold.objective_after;
+    let mut head = 0;
+    let mut completed = true;
     for (i, burst) in bursts.iter().enumerate() {
-        if i >= WARMUP {
-            run.journal_tail
-                .before(i - WARMUP, engine.network(), engine.assignment());
+        if i == tail_start {
+            run.end_timing();
+            engine = engine.with_journal_cadence(run.tail_journal(), None)?;
+            head = std::fs::metadata(run.tail_journal())?.len();
         }
+        let timed = (WARMUP..tail_start).contains(&i);
         run.out.attempted += u64::from(i >= WARMUP);
         let start = Instant::now();
         let report = engine.apply_batch(burst);
@@ -405,6 +347,7 @@ pub fn absorb(p: &Params) -> Result<Outcome> {
             Ok(report) => report,
             Err(e) => {
                 run.rejected(i, WARMUP, &e);
+                completed = false;
                 break;
             }
         };
@@ -418,7 +361,7 @@ pub fn absorb(p: &Params) -> Result<Outcome> {
                     report.objective_after
                 )
             });
-        if i >= WARMUP {
+        if timed {
             run.timed.record(wall, burst.len());
             run.timed.read_batch(&mut run.out, &targets, |h| {
                 engine.assignment().map_or(0, |a| a.products_at(h).len())
@@ -439,27 +382,22 @@ pub fn absorb(p: &Params) -> Result<Outcome> {
             );
         }
         if let Some(mirror) = run.mirror.as_mut() {
-            let mirrored = mirror.step(burst, i >= WARMUP)?;
+            let mirrored = mirror.step(burst, timed)?;
             run.out
                 .checks
                 .require(Some(mirrored) == engine.assignment(), || {
                     format!("burst {i}: the mirror's assignment left the engine's")
                 });
         }
-        if i >= WARMUP {
-            run.journal_tail.after(
-                &mut run.out,
-                &g,
-                i - WARMUP,
-                burst,
-                engine.network(),
-                engine.assignment(),
-            )?;
-        }
     }
     run.end_timing();
 
     let assignment = engine.assignment().ok_or("run left no assignment")?.clone();
+    if completed {
+        let deltas = bursts[tail_start..].iter().map(Vec::len).sum();
+        let recoveries = p.setups(ABSORB_RECOVERIES).max(2);
+        run.recover_tail(head, deltas, recoveries, engine.network(), &assignment)?;
+    }
     run.close(&g, p.quick, engine.network(), &assignment, objective)
 }
 
@@ -474,6 +412,10 @@ fn shard_layers(layers: &mut Layers, report: &ShardReport, wall: Duration, bound
         .max()
         .copied()
         .unwrap_or_default();
+    layers.add(
+        "netmodel.touched_hosts",
+        locals.iter().map(|r| r.touched.len()).sum::<usize>() as f64,
+    );
     layers.add("cache.edit_ms", ms(rebuild));
     layers.add(
         "cache.reassembled",
@@ -530,7 +472,8 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
         SHARDED_HOSTS_PER_ZONE
     };
     let warmup = BOUNDARY_EVERY;
-    let total = warmup + BOUNDARY_EVERY * p.rounds(SHARDED_ROUNDS_PER_S, 3);
+    let tail_start = warmup + BOUNDARY_EVERY * p.rounds(SHARDED_ROUNDS_PER_S, 3);
+    let total = tail_start + JOURNAL_TAIL;
     let g = inputs::zoned_network(per_zone, stream_seed(p.seed, 1));
     let bursts = inputs::zoned_bursts(
         &g,
@@ -555,10 +498,12 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
         setup_s.push(start.elapsed().as_secs_f64());
         solved = Some((engine, cold));
     }
+    eprintln!("set-ups, s: {setup_s:.3?}");
     let (mut engine, cold) = solved.ok_or("no set-up ran")?;
+    // No mirror: it would replay each burst as one whole-network engine,
+    // which is not the path the sharded engine runs.
     let mut run = DirectRun::new(
-        p,
-        SHARDED_RECOVER_EVERY,
+        false,
         work,
         setup_s,
         &g,
@@ -585,12 +530,16 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
         .add("shard.cold_coord_s", cold.coordination_wall.as_secs_f64());
 
     let mut objective = cold.objective;
+    let mut head = 0;
+    let mut completed = true;
     let (mut confined_max, mut boundary_min) = (0.0f64, f64::INFINITY);
     for (i, burst) in bursts.iter().enumerate() {
-        if i >= warmup {
-            run.journal_tail
-                .before(i - warmup, engine.network(), engine.assignment());
+        if i == tail_start {
+            run.end_timing();
+            engine = engine.with_journal_cadence(run.tail_journal(), None)?;
+            head = std::fs::metadata(run.tail_journal())?.len();
         }
+        let timed = (warmup..tail_start).contains(&i);
         run.out.attempted += u64::from(i >= warmup);
         let start = Instant::now();
         let report = engine.apply_batch(burst);
@@ -599,6 +548,7 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
             Ok(report) => report,
             Err(e) => {
                 run.rejected(i, warmup, &e);
+                completed = false;
                 break;
             }
         };
@@ -617,7 +567,7 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
                 .checks
                 .require(gap >= 0.0, || format!("burst {i}: certified gap {gap} < 0"));
         }
-        if i >= warmup {
+        if timed {
             let boundary = i % BOUNDARY_EVERY == BOUNDARY_EVERY - 1;
             if boundary {
                 boundary_min = boundary_min.min(ms(wall));
@@ -630,19 +580,6 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
             });
             shard_layers(&mut run.layers, &report, wall, boundary);
         }
-        if let Some(mirror) = run.mirror.as_mut() {
-            mirror.step(burst, i >= warmup)?;
-        }
-        if i >= warmup {
-            run.journal_tail.after(
-                &mut run.out,
-                &g,
-                i - warmup,
-                burst,
-                engine.network(),
-                engine.assignment(),
-            )?;
-        }
     }
     run.end_timing();
     eprintln!(
@@ -650,6 +587,11 @@ pub fn sharded(p: &Params) -> Result<Outcome> {
     );
 
     let assignment = engine.assignment().ok_or("run left no assignment")?.clone();
+    if completed {
+        let deltas = bursts[tail_start..].iter().map(Vec::len).sum();
+        let recoveries = p.setups(SHARDED_RECOVERIES).max(2);
+        run.recover_tail(head, deltas, recoveries, engine.network(), &assignment)?;
+    }
     let recomputed = checks::objective(
         &mut run.out.checks,
         engine.network(),
